@@ -1,7 +1,7 @@
 //! The user-facing ranked-enumeration API.
 
 use crate::answer::Answer;
-use crate::compile::Compiled;
+use crate::compile::{compile_with, Compiled};
 use crate::cycle;
 use crate::error::EngineError;
 use anyk_core::dioid::{Dioid, MinMaxDioid, OrderedF64, TropicalMin};
@@ -226,22 +226,19 @@ impl Plan {
         query: &ConjunctiveQuery,
         ranking: RankingFunction,
     ) -> Result<Self, EngineError> {
-        Self::prepare_opts(db, query, ranking, false, None)
+        Self::prepare_opts(db, query, ranking, false)
     }
 
-    /// [`Plan::prepare`] with an explicit choice about delta support and
-    /// worker sizing: `retain_delta` compiles acyclic plans through
+    /// [`Plan::prepare`] with an explicit choice about delta support:
+    /// `retain_delta` compiles acyclic plans through
     /// [`compile_with_delta`], enabling [`Plan::refresh`] at the cost of one
-    /// extra CSR copy plus `O(n)` tuple→state maps (cycle plans ignore the
-    /// flag — they recompile from scratch on ingestion); `threads` pins the
-    /// bottom-up sweep's worker count (`None` = the `ANYK_THREADS` env
-    /// default).
+    /// extra CSR copy plus `O(n)` tuple→state maps. Cycle plans ignore the
+    /// flag (they recompile from scratch on ingestion).
     pub(crate) fn prepare_opts(
         db: &Database,
         query: &ConjunctiveQuery,
         ranking: RankingFunction,
         retain_delta: bool,
-        threads: Option<usize>,
     ) -> Result<Self, EngineError> {
         anyk_core::faults::check("engine.compile")?;
         let _span = anyk_obs::phase::span(anyk_obs::Phase::Compile);
@@ -253,7 +250,6 @@ impl Plan {
                     query,
                     |t| ranking.encode(t.weight()),
                     retain_delta,
-                    threads,
                 )?;
                 Ok(Plan::AcyclicBottleneck(c))
             } else {
@@ -262,7 +258,6 @@ impl Plan {
                     query,
                     |t| ranking.encode(t.weight()),
                     retain_delta,
-                    threads,
                 )?;
                 Ok(Plan::AcyclicSum(c))
             }
@@ -274,13 +269,11 @@ impl Plan {
                 Ok(Plan::CycleBottleneck(Self::compile_trees::<MinMaxDioid>(
                     trees,
                     &original_head,
-                    threads,
                 )?))
             } else {
                 Ok(Plan::CycleSum(Self::compile_trees::<TropicalMin>(
                     trees,
                     &original_head,
-                    threads,
                 )?))
             }
         }
@@ -289,19 +282,13 @@ impl Plan {
     fn compile_trees<D: Dioid<V = OrderedF64>>(
         trees: Vec<cycle::DecomposedTree>,
         original_head: &[String],
-        threads: Option<usize>,
     ) -> Result<Vec<CycleTreePlan<D>>, EngineError> {
         trees
             .into_iter()
             .map(|tree| {
                 // Bag weights are already encoded by the decomposition.
-                let compiled = crate::compile::compile_with_opts::<D, _>(
-                    &tree.database,
-                    &tree.query,
-                    |t: RowRef<'_>| t.weight(),
-                    false,
-                    threads,
-                )?;
+                let compiled =
+                    compile_with::<D, _>(&tree.database, &tree.query, |t: RowRef<'_>| t.weight())?;
                 let tree_head = tree.query.head_variables();
                 let head_perm = original_head
                     .iter()

@@ -39,8 +39,9 @@ pub fn recording_enabled() -> bool {
 pub struct PlanObs {
     /// Time-to-first-answer per session (nanoseconds).
     pub ttf: LatencyHistogram,
-    /// Delay between consecutive answers (nanoseconds; the first answer's
-    /// delay is its TTF, matching `EnumerationTrace` semantics).
+    /// Delay between consecutive answers (nanoseconds). The first answer
+    /// contributes its TTF to `ttf` only, so this holds one sample fewer
+    /// than the answers served: delay excludes preprocessing.
     pub delay: LatencyHistogram,
     /// Wall time of one `next_page` service call (nanoseconds).
     pub page: LatencyHistogram,
@@ -157,16 +158,17 @@ impl DelayRecorder {
     }
 
     /// Record one produced answer: one clock read plus a handful of plain
-    /// integer ops. The first answer's delay doubles as the TTF.
+    /// integer ops. The first answer sets the TTF; every later answer
+    /// records its gap from the previous one as a delay.
     #[inline]
     pub fn observe_answer(&mut self) {
         let now = self.clock.now_nanos();
-        let gap = now.saturating_sub(self.last);
-        self.last = now;
         if self.ttf.is_none() {
             self.ttf = Some(now.saturating_sub(self.opened));
+        } else {
+            self.local.record(now.saturating_sub(self.last));
         }
-        self.local.record(gap);
+        self.last = now;
     }
 
     /// Push everything recorded since the previous flush into the plan's
@@ -208,8 +210,9 @@ impl DelayRecorder {
         }
     }
 
-    /// The cursor-local delay distribution recorded so far (the first
-    /// answer's delay is its TTF, matching `EnumerationTrace`).
+    /// The cursor-local delay distribution recorded so far: one gap per
+    /// answer after the first (the first answer's wait is the TTF, reported
+    /// by [`DelayRecorder::ttf_nanos`] instead).
     pub fn delays(&self) -> HistogramSnapshot {
         self.local.snapshot()
     }
@@ -219,9 +222,9 @@ impl DelayRecorder {
         self.ttf
     }
 
-    /// Answers observed so far.
+    /// Answers observed so far, the first one included.
     pub fn answers(&self) -> u64 {
-        self.local.count()
+        self.local.count() + u64::from(self.ttf.is_some())
     }
 }
 
@@ -242,7 +245,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let mut r = DelayRecorder::new(clock.clone() as Arc<dyn Clock>, None);
         clock.advance(Duration::from_micros(5));
-        r.observe_answer(); // ttf = 5µs, first delay = 5µs
+        r.observe_answer(); // ttf = 5µs, not a delay
         clock.advance(Duration::from_micros(3));
         r.observe_answer(); // delay = 3µs
         clock.advance(Duration::from_micros(9));
@@ -250,8 +253,8 @@ mod tests {
         assert_eq!(r.ttf_nanos(), Some(5_000));
         assert_eq!(r.answers(), 3);
         let d = r.delays();
-        assert_eq!(d.count(), 3);
-        assert_eq!(d.sum(), 17_000);
+        assert_eq!(d.count(), 2);
+        assert_eq!(d.sum(), 12_000);
         assert_eq!(d.max(), 9_000);
     }
 
@@ -269,8 +272,8 @@ mod tests {
         r.flush(); // idempotent when nothing new happened
         drop(r); // drop flushes too — still no double counting
         let delay = plan.delay.snapshot();
-        assert_eq!(delay.count(), 2);
-        assert_eq!(delay.sum(), 3_000);
+        assert_eq!(delay.count(), 1, "the first answer is TTF, not delay");
+        assert_eq!(delay.sum(), 2_000);
         assert_eq!(plan.ttf.snapshot().count(), 1, "TTF recorded exactly once");
     }
 

@@ -139,10 +139,12 @@ fn prepare_returns_the_canonical_plan_key_and_hits_the_cache() {
 fn remote_errors_are_typed() {
     let (_service, mut server) = start_server(NetConfig::default());
     let mut client = quick_client(&server);
-    // Parse failure.
-    match client.prepare("this is not a query") {
-        Err(ClientError::Remote(WireError::Parse(_))) => {}
-        other => panic!("expected typed parse error, got {other:?}"),
+    // Parse failures.
+    for text in ["this is not a query", &format!("{QUERY} shards 2")] {
+        match client.prepare(text) {
+            Err(ClientError::Remote(WireError::Parse(_))) => {}
+            other => panic!("expected typed parse error, got {other:?}"),
+        }
     }
     // Engine failure (unknown relation).
     match client.prepare("Q(x, y) :- Nope(x, y)") {
@@ -531,7 +533,11 @@ fn stats_over_tcp_report_delay_percentiles_for_a_live_workload() {
         .expect("plan distributions keyed by canonical plan key");
     assert_eq!(sums.ttf.count, 1, "one session, one TTF");
     assert!(sums.ttf.max > 0);
-    assert_eq!(sums.delay.count, answers, "one delay sample per answer");
+    assert_eq!(
+        sums.delay.count,
+        answers - 1,
+        "one delay sample per answer after the first"
+    );
     assert!(sums.delay.p50 <= sums.delay.p90 && sums.delay.p90 <= sums.delay.p99);
     assert!(sums.delay.p99 <= sums.delay.max && sums.delay.max > 0);
     assert!(sums.page.count >= pages);
